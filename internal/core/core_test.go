@@ -390,3 +390,67 @@ func TestNNVSoundness(t *testing.T) {
 		}
 	}
 }
+
+// TestNNVCappedClearanceMatchesFull pins the two-pass NNV against the
+// single-pass reference it replaced: every heap entry's verdict,
+// correctness and surpassing ratio are bit-identical to verifying
+// against the uncapped clearance ‖q, e_s‖, and EdgeDist is that
+// clearance capped at the farthest entry. Peer regions nest around q
+// like a warm cache's, and some peers are tainted.
+func TestNNVCappedClearanceMatchesFull(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	verified, unverified := 0, 0
+	for trial := 0; trial < 300; trial++ {
+		db := make([]broadcast.POI, 80+rng.Intn(80))
+		for i := range db {
+			db[i] = broadcast.POI{ID: int64(i), Pos: geom.Pt(rng.Float64()*12, rng.Float64()*12)}
+		}
+		q := geom.Pt(4+rng.Float64()*4, 4+rng.Float64()*4)
+		var peers []PeerData
+		for i := 0; i < 2+rng.Intn(40); i++ {
+			h := 0.3 + rng.Float64()*4
+			cx, cy := q.X+(rng.Float64()-0.5)*h, q.Y+(rng.Float64()-0.5)*h
+			vr := geom.NewRect(cx-h/2, cy-h/2, cx+h/2, cy+h/2)
+			pd := PeerData{VR: vr, Tainted: rng.Intn(8) == 0}
+			for _, p := range db {
+				if vr.Contains(p.Pos) {
+					pd.POIs = append(pd.POIs, p)
+				}
+			}
+			peers = append(peers, pd)
+		}
+		k := 1 + rng.Intn(8)
+		lambda := float64(len(db)) / 144
+		res := NNV(q, peers, k, lambda)
+
+		full, inside := res.MVR.Clearance(q)
+		if inside != res.InsideMVR {
+			t.Fatalf("trial %d: InsideMVR %v, Contains %v", trial, res.InsideMVR, inside)
+		}
+		es := res.Heap.Entries()
+		if last, ok := res.Heap.LastDist(); inside && ok && res.EdgeDist != min(full, last) {
+			t.Fatalf("trial %d: EdgeDist %v, want min(%v, %v)", trial, res.EdgeDist, full, last)
+		}
+		lastVerified, hasVerified := 0.0, false
+		for i, e := range es {
+			want := Entry{POI: e.POI, Dist: e.Dist, Tainted: e.Tainted}
+			if !e.Tainted && inside && e.Dist <= full {
+				want.Verified, want.Correctness = true, 1
+				lastVerified, hasVerified = e.Dist, true
+				verified++
+			} else {
+				unverified++
+				want.Correctness = CorrectnessProbability(lambda, res.MVR.UnverifiedArea(q, e.Dist))
+				if hasVerified && lastVerified > 0 {
+					want.Surpassing = e.Dist / lastVerified
+				}
+			}
+			if e != want {
+				t.Fatalf("trial %d entry %d: got %+v, want %+v (clearance %v)", trial, i, e, want, full)
+			}
+		}
+	}
+	if verified < 200 || unverified < 200 {
+		t.Fatalf("only %d verified and %d unverified entries checked", verified, unverified)
+	}
+}

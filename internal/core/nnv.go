@@ -58,9 +58,11 @@ type NNVResult struct {
 	Heap *Heap
 	// MVR is the merged verified region of all peers.
 	MVR *geom.RectUnion
-	// EdgeDist is ‖q, e_s‖ — the distance from q to the nearest boundary
-	// edge of the MVR; zero when q lies outside the MVR (no verification
-	// possible).
+	// EdgeDist is min(‖q, e_s‖, d_far): the distance from q to the
+	// nearest boundary edge of the MVR, capped at d_far, the distance of
+	// the farthest heap entry (zero for an empty heap). Every entry is
+	// verified against it exactly as against the uncapped ‖q, e_s‖.
+	// Zero when q lies outside the MVR (no verification possible).
 	EdgeDist float64
 	// InsideMVR reports whether q lies inside the MVR (the precondition
 	// of Lemma 3.1).
@@ -155,16 +157,10 @@ func NNVScratchMVR(s *Scratch, mvr *geom.RectUnion, prebuilt bool, q geom.Point,
 		Merged:            merged,
 		TaintedCandidates: len(taints),
 	}
-	if d, ok := mvr.Clearance(q); ok {
-		res.EdgeDist = d
-		res.InsideMVR = true
-	}
 
-	// Merge-walk the two sorted pools in global (distance², ID) order.
-	// With no tainted peers this reduces exactly to a walk of cands —
-	// the seed loop, bit for bit.
-	lastVerified := 0.0
-	hasVerified := false
+	// Pass 1: fill the heap by merge-walking the two sorted pools in
+	// global (distance², ID) order. With no tainted peers this reduces
+	// exactly to a walk of cands — the seed loop, bit for bit.
 	i, j := 0, 0
 	for (i < len(cands) || j < len(taints)) && !res.Heap.Full() {
 		pickTainted := i >= len(cands) ||
@@ -178,25 +174,36 @@ func NNVScratchMVR(s *Scratch, mvr *geom.RectUnion, prebuilt bool, q geom.Point,
 			i++
 		}
 		res.Examined++
-		d := poi.Pos.Dist(q)
-		e := Entry{POI: poi, Dist: d, Tainted: pickTainted}
-		if !pickTainted && res.InsideMVR && d <= res.EdgeDist {
+		res.Heap.add(Entry{POI: poi, Dist: poi.Pos.Dist(q), Tainted: pickTainted})
+	}
+
+	// Pass 2: one clearance, capped at the farthest entry. Every entry
+	// has d ≤ limit, and for such d, d ≤ min(‖q,e_s‖, limit) exactly when
+	// d ≤ ‖q,e_s‖, so the capped value gives every verdict the full
+	// clearance would while building only the MVR boundary within limit
+	// of q.
+	limit, _ := res.Heap.LastDist()
+	res.EdgeDist, res.InsideMVR = mvr.ClearanceWithin(q, limit)
+	lastVerified := 0.0
+	hasVerified := false
+	for x := range s.heap.entries {
+		e := &s.heap.entries[x]
+		if !e.Tainted && res.InsideMVR && e.Dist <= res.EdgeDist {
 			e.Verified = true
 			e.Correctness = 1
-			lastVerified = d
+			lastVerified = e.Dist
 			hasVerified = true
 		} else {
 			// Unverified (or tainted — untrusted candidates can never be
 			// verified regardless of geometry): the candidate's
 			// unverified region is the part of its distance disk not
 			// covered by the (trusted) MVR.
-			u := mvr.UnverifiedArea(q, d)
+			u := mvr.UnverifiedArea(q, e.Dist)
 			e.Correctness = CorrectnessProbability(lambda, u)
 			if hasVerified && lastVerified > 0 {
-				e.Surpassing = d / lastVerified
+				e.Surpassing = e.Dist / lastVerified
 			}
 		}
-		res.Heap.add(e)
 	}
 	return res
 }

@@ -80,3 +80,33 @@ func BenchmarkSubtractRect(b *testing.B) {
 		SubtractRect(w, covers)
 	}
 }
+
+// BenchmarkClearanceNested112 measures the per-query clearance NNV pays
+// on a fresh warm-cache-shaped MVR: 112 members, about half nested,
+// rebuilt into a reused union each iteration so no boundary cache
+// survives between queries.
+func BenchmarkClearanceNested112(b *testing.B) {
+	rng := rand.New(rand.NewSource(5))
+	var rects []Rect
+	for len(rects) < 112 {
+		_, rs := mvrLikeUnion(rng, 0)
+		rects = append(rects, rs...)
+	}
+	rects = rects[:112]
+	var u RectUnion
+	for _, r := range rects {
+		u.Add(r)
+	}
+	p := u.Rects()[0].Center()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		u.Reset()
+		for _, r := range rects {
+			u.Add(r)
+		}
+		if _, ok := u.Clearance(p); !ok {
+			b.Fatal("probe outside the union")
+		}
+	}
+}

@@ -135,3 +135,137 @@ func TestInnerGap(t *testing.T) {
 		t.Errorf("escaping rect must report a negative gap, got %g", g)
 	}
 }
+
+// mvrLikeUnion builds a union shaped like a warm-cache merged verified
+// region: about 110 members overlapping one neighbourhood, half of them
+// nested inside an earlier member (some flush against one of its
+// sides), plus exact duplicates, members sharing an edge, and degenerate
+// members (which Add drops). Coordinates sit on a 1/64 grid so edges
+// coincide often, shifted by offset to exercise large magnitudes.
+func mvrLikeUnion(rng *rand.Rand, offset float64) (*RectUnion, []Rect) {
+	snap := func(v float64) float64 { return math.Round(v*64)/64 + offset }
+	var rects []Rect
+	n := 100 + rng.Intn(20)
+	for len(rects) < n {
+		switch roll := rng.Float64(); {
+		case len(rects) > 0 && roll < 0.5: // nested in an earlier member
+			host := rects[rng.Intn(len(rects))]
+			x0 := host.Min.X + rng.Float64()*host.Width()/2
+			y0 := host.Min.Y + rng.Float64()*host.Height()/2
+			x1 := x0 + rng.Float64()*(host.Max.X-x0)
+			y1 := y0 + rng.Float64()*(host.Max.Y-y0)
+			r := NewRect(snap(x0-offset), snap(y0-offset), snap(x1-offset), snap(y1-offset))
+			if rng.Intn(3) == 0 {
+				r.Min.X = host.Min.X // flush against the host's left side
+			}
+			if rng.Intn(3) == 0 {
+				r.Max.Y = host.Max.Y
+			}
+			rects = append(rects, r)
+		case len(rects) > 0 && roll < 0.6: // exact duplicate
+			rects = append(rects, rects[rng.Intn(len(rects))])
+		case len(rects) > 0 && roll < 0.7: // shares a side with an earlier member
+			nb := rects[rng.Intn(len(rects))]
+			w := snap(0.1+rng.Float64()) - offset
+			rects = append(rects, Rect{Min: Point{nb.Max.X, nb.Min.Y}, Max: Point{nb.Max.X + w, nb.Max.Y}})
+		case roll < 0.75: // degenerate
+			x, y := snap(rng.Float64()*4), snap(rng.Float64()*4)
+			rects = append(rects, Rect{Min: Point{x, y}, Max: Point{x, y + 1}})
+		default:
+			cx, cy := rng.Float64()*4, rng.Float64()*4
+			rects = append(rects, NewRect(snap(cx), snap(cy), snap(cx+0.3+rng.Float64()*2), snap(cy+0.3+rng.Float64()*2)))
+		}
+	}
+	return NewRectUnion(rects...), rects
+}
+
+// TestClearanceWalkMatchesFullBoundary is the differential contract of
+// the query-local clearance walk: Clearance, ClearanceWithin (limits
+// below, at and above the true value) and ClearanceRect return the same
+// float64 as the minimum over the full Boundary(), and BoundaryDist's
+// strip-indexed search agrees with both.
+func TestClearanceWalkMatchesFullBoundary(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	for trial := 0; trial < 60; trial++ {
+		offset := 0.0
+		if trial%3 == 2 {
+			offset = 3e5
+		}
+		u, rects := mvrLikeUnion(rng, offset)
+		members := u.Rects()
+		type probe struct {
+			p            Point
+			got          float64
+			ok           bool
+			capped       []float64 // ClearanceWithin at the limits below
+			cappedLimits []float64
+		}
+		var probes []probe
+		for i := 0; i < 24; i++ {
+			m := members[rng.Intn(len(members))]
+			p := Pt(m.Min.X+rng.Float64()*m.Width(), m.Min.Y+rng.Float64()*m.Height())
+			switch i % 6 {
+			case 1:
+				p.X = m.Max.X // on a member side
+			case 2:
+				p = m.Min // on a member corner
+			case 3:
+				p = rects[rng.Intn(len(rects))].Center() // possibly outside
+			}
+			// Query the walk before anything builds the boundary cache.
+			got, ok := u.Clearance(p)
+			probes = append(probes, probe{p: p, got: got, ok: ok})
+		}
+		for i := range probes {
+			pr := &probes[i]
+			if pr.ok != u.Contains(pr.p) {
+				t.Fatalf("trial %d: Clearance ok=%v, Contains=%v at %v", trial, pr.ok, !pr.ok, pr.p)
+			}
+			if !pr.ok {
+				if pr.got != 0 {
+					t.Fatalf("trial %d: outside point got clearance %v", trial, pr.got)
+				}
+				continue
+			}
+			ref := math.Inf(1)
+			for _, s := range u.Boundary() {
+				ref = min(ref, s.Dist(pr.p))
+			}
+			if !same(pr.got, ref) {
+				t.Fatalf("trial %d: Clearance(%v) = %v, full boundary %v", trial, pr.p, pr.got, ref)
+			}
+			if bd := u.BoundaryDist(pr.p); !same(bd, ref) {
+				t.Fatalf("trial %d: BoundaryDist(%v) = %v, full boundary %v", trial, pr.p, bd, ref)
+			}
+			for _, limit := range []float64{0, ref / 2, math.Nextafter(ref, 0), ref,
+				math.Nextafter(ref, math.Inf(1)), ref * 2, math.Inf(1)} {
+				got, ok := u.ClearanceWithin(pr.p, limit)
+				if !ok || !same(got, min(ref, limit)) {
+					t.Fatalf("trial %d: ClearanceWithin(%v, %v) = (%v, %v), want %v",
+						trial, pr.p, limit, got, ok, min(ref, limit))
+				}
+			}
+		}
+		for i := 0; i < 12; i++ {
+			m := members[rng.Intn(len(members))]
+			x0 := m.Min.X + rng.Float64()*m.Width()
+			y0 := m.Min.Y + rng.Float64()*m.Height()
+			w := NewRect(x0, y0, x0+rng.Float64()*(m.Max.X-x0), y0+rng.Float64()*(m.Max.Y-y0))
+			if i%4 == 3 {
+				w = m // a whole member
+			}
+			got, ok := u.ClearanceRect(w)
+			if !ok {
+				t.Fatalf("trial %d: window %v inside a member reported uncovered", trial, w)
+			}
+			ref := math.Inf(1)
+			for _, s := range u.Boundary() {
+				ref = min(ref, SegmentRectDist(s, w))
+			}
+			if !same(got, ref) {
+				t.Fatalf("trial %d: ClearanceRect(%v) = %v, full boundary %v", trial, w, got, ref)
+			}
+		}
+	}
+}

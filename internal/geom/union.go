@@ -1,7 +1,9 @@
 package geom
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -47,6 +49,12 @@ type RectUnion struct {
 	xs, ys []float64
 	diff   []int32
 	cov    []interval
+
+	// Scratch for the query-local clearance walk (clearance.go): the
+	// queued member edges and the boundary pieces of the edge in hand.
+	// The walk never touches the boundary cache above.
+	edges  []clearanceEdge
+	pieces []Segment
 
 	// Incremental-maintenance state (Insert/Remove, see
 	// union_incremental.go). Kept separate from the xs/ys/diff scratch
@@ -236,16 +244,10 @@ func (u *RectUnion) Boundary() []Segment {
 		return u.boundary
 	}
 	u.boundary = u.boundary[:0]
-	for i, r := range u.rects {
-		// Bottom edge (outward = -Y): covered where another rect spans
-		// the y just below.
-		u.appendEdgePieces(i, r.Min.Y, r.Min.X, r.Max.X, true, outwardBelow)
-		// Top edge (outward = +Y).
-		u.appendEdgePieces(i, r.Max.Y, r.Min.X, r.Max.X, true, outwardAbove)
-		// Left edge (outward = -X).
-		u.appendEdgePieces(i, r.Min.X, r.Min.Y, r.Max.Y, false, outwardBelow)
-		// Right edge (outward = +X).
-		u.appendEdgePieces(i, r.Max.X, r.Min.Y, r.Max.Y, false, outwardAbove)
+	for i := range u.rects {
+		for side := sideBottom; side <= sideRight; side++ {
+			u.boundary = u.appendEdgePieces(u.boundary, i, side)
+		}
 	}
 	u.haveBoundary = true
 	return u.boundary
@@ -254,7 +256,10 @@ func (u *RectUnion) Boundary() []Segment {
 // BoundaryDist returns the minimum Euclidean distance from p to the
 // boundary of the union. For p inside the union this is the clearance
 // radius (‖q, e_s‖ in the NNV algorithm); for p outside it is the distance
-// to the union. It returns +Inf for an empty union.
+// to the union. It returns +Inf for an empty union. It builds and caches
+// the whole boundary, which pays off when many points are queried
+// against one union; a single query per union is cheaper through
+// Clearance or ClearanceWithin, which build only the boundary near p.
 //
 // Large boundaries are pruned through an x-strip index: strips are
 // visited outward from p's strip and the search stops as soon as the
@@ -316,17 +321,6 @@ func (u *RectUnion) BoundaryDist(p Point) float64 {
 		}
 	}
 	return best
-}
-
-// Clearance returns the distance from p to the union boundary when p lies
-// inside the union, and ok=false (with zero distance) otherwise. This is
-// exactly the quantity Lemma 3.1 verifies candidates against: any POI
-// closer to p than its clearance is a guaranteed true nearest neighbor.
-func (u *RectUnion) Clearance(p Point) (float64, bool) {
-	if !u.Contains(p) {
-		return 0, false
-	}
-	return u.BoundaryDist(p), true
 }
 
 // CoversRect reports whether rectangle w is entirely inside the union —
@@ -594,22 +588,42 @@ func (si *stripIndex) stripLB(b int, x float64) float64 {
 	return 0
 }
 
-// outwardBelow/outwardAbove select which side of an edge is "outward" for
-// coverage testing in appendEdgePieces.
+// Member-edge sides, in the order Boundary emits them for each member.
+// Bottom and top sides are horizontal.
 const (
-	outwardBelow = iota // outward side has smaller coordinate (bottom/left edges)
-	outwardAbove        // outward side has larger coordinate (top/right edges)
+	sideBottom = iota // outward side −Y
+	sideTop           // outward side +Y
+	sideLeft          // outward side −X
+	sideRight         // outward side +X
 )
 
-// appendEdgePieces appends to u.boundary the sub-segments of one
-// rectangle edge that lie on the union boundary. The edge is at fixed
-// coordinate `level` on the perpendicular axis and spans [lo, hi] on the
-// parallel axis. horizontal selects edge orientation; side selects the
-// outward direction. The covering-interval scratch is reused across
+// sideSpan returns one side of r as its coordinate on the perpendicular
+// axis (level) and its extent [lo, hi] on the parallel axis.
+func (r Rect) sideSpan(side int) (level, lo, hi float64) {
+	switch side {
+	case sideBottom:
+		return r.Min.Y, r.Min.X, r.Max.X
+	case sideTop:
+		return r.Max.Y, r.Min.X, r.Max.X
+	case sideLeft:
+		return r.Min.X, r.Min.Y, r.Max.Y
+	default:
+		return r.Max.X, r.Min.Y, r.Max.Y
+	}
+}
+
+// appendEdgePieces appends to dst the sub-segments of one side of member
+// self that lie on the union boundary: the parts whose outward side no
+// other member covers. An edge whose whole outward side lies inside a
+// single other member contributes nothing, and the scan stops at the
+// first such member. The covering-interval scratch is reused across
 // calls.
-func (u *RectUnion) appendEdgePieces(self int, level, lo, hi float64, horizontal bool, side int) {
+func (u *RectUnion) appendEdgePieces(dst []Segment, self, side int) []Segment {
+	level, lo, hi := u.rects[self].sideSpan(side)
+	horizontal := side <= sideTop
+	below := side == sideBottom || side == sideLeft // outward side has the smaller coordinate
 	if lo >= hi {
-		return
+		return dst
 	}
 	// Collect the intervals of [lo, hi] whose outward side is covered by
 	// another rectangle: such portions are interior to the union.
@@ -627,7 +641,7 @@ func (u *RectUnion) appendEdgePieces(self int, level, lo, hi float64, horizontal
 			parMin, parMax = s.Min.Y, s.Max.Y
 		}
 		var coversOutward bool
-		if side == outwardBelow {
+		if below {
 			// Points just below `level` are inside s.
 			coversOutward = perpMin < level && perpMax >= level
 		} else {
@@ -637,15 +651,30 @@ func (u *RectUnion) appendEdgePieces(self int, level, lo, hi float64, horizontal
 		if !coversOutward {
 			continue
 		}
+		if parMin <= lo && parMax >= hi {
+			u.cov = cov
+			return dst // s covers the whole outward side: the edge is interior
+		}
 		a, b := math.Max(parMin, lo), math.Min(parMax, hi)
 		if a < b {
 			cov = append(cov, interval{a, b})
 		}
 	}
 	u.cov = cov
-	sortIntervals(cov)
+	return appendGaps(dst, cov, lo, hi, level, horizontal)
+}
 
-	// Emit the uncovered leftovers of [lo, hi] directly.
+type interval struct{ a, b float64 }
+
+// appendGaps sorts cov by start and appends to dst the maximal parts of
+// [lo, hi] that no interval of cov covers, as segments at coordinate
+// level on the perpendicular axis (horizontal selects the orientation).
+// Covering intervals are closed, so zero-length leftovers are dropped.
+// The order of intervals with equal starts does not change the pieces:
+// the first one moves the cursor past the shared start, and the cursor
+// ends at the largest end either way.
+func appendGaps(dst []Segment, cov []interval, lo, hi, level float64, horizontal bool) []Segment {
+	slices.SortFunc(cov, func(x, y interval) int { return cmp.Compare(x.a, y.a) })
 	cursor := lo
 	for _, c := range cov {
 		if c.b <= cursor {
@@ -654,79 +683,27 @@ func (u *RectUnion) appendEdgePieces(self int, level, lo, hi float64, horizontal
 		if c.a > cursor {
 			end := math.Min(c.a, hi)
 			if end > cursor {
-				u.emitPiece(cursor, end, level, horizontal)
+				dst = append(dst, piece(cursor, end, level, horizontal))
 			}
 		}
-		if c.b > cursor {
-			cursor = c.b
-		}
+		cursor = c.b
 		if cursor >= hi {
-			return
+			return dst
 		}
 	}
 	if cursor < hi {
-		u.emitPiece(cursor, hi, level, horizontal)
+		dst = append(dst, piece(cursor, hi, level, horizontal))
 	}
+	return dst
 }
 
-// emitPiece appends one boundary sub-segment.
-func (u *RectUnion) emitPiece(a, b, level float64, horizontal bool) {
+// piece returns the axis-parallel segment spanning [a, b] at coordinate
+// level on the perpendicular axis.
+func piece(a, b, level float64, horizontal bool) Segment {
 	if horizontal {
-		u.boundary = append(u.boundary, Segment{Point{a, level}, Point{b, level}})
-	} else {
-		u.boundary = append(u.boundary, Segment{Point{level, a}, Point{level, b}})
+		return Segment{Point{a, level}, Point{b, level}}
 	}
-}
-
-type interval struct{ a, b float64 }
-
-// sortIntervals orders intervals ascending by start without allocating
-// (insertion sort: covering lists are small — the peers overlapping one
-// edge).
-func sortIntervals(cov []interval) {
-	for i := 1; i < len(cov); i++ {
-		c := cov[i]
-		j := i - 1
-		for j >= 0 && cov[j].a > c.a {
-			cov[j+1] = cov[j]
-			j--
-		}
-		cov[j+1] = c
-	}
-}
-
-// subtractIntervals returns the parts of base not covered by any interval
-// in cov. The covering intervals are treated as closed; zero-length
-// leftovers are dropped. (Kept for tests and external callers; the
-// boundary builder subtracts inline to avoid the allocation.)
-func subtractIntervals(base interval, cov []interval) []interval {
-	if len(cov) == 0 {
-		return []interval{base}
-	}
-	sortIntervals(cov)
-	var out []interval
-	cursor := base.a
-	for _, c := range cov {
-		if c.b <= cursor {
-			continue
-		}
-		if c.a > cursor {
-			end := math.Min(c.a, base.b)
-			if end > cursor {
-				out = append(out, interval{cursor, end})
-			}
-		}
-		if c.b > cursor {
-			cursor = c.b
-		}
-		if cursor >= base.b {
-			return out
-		}
-	}
-	if cursor < base.b {
-		out = append(out, interval{cursor, base.b})
-	}
-	return out
+	return Segment{Point{level, a}, Point{level, b}}
 }
 
 // dedupSorted sorts vs ascending and removes duplicates in place.

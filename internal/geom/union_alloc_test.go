@@ -7,6 +7,7 @@
 package geom
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -38,5 +39,29 @@ func TestRectUnionReuseAllocs(t *testing.T) {
 	cycle()
 	if allocs := testing.AllocsPerRun(20, cycle); allocs != 0 {
 		t.Fatalf("warm RectUnion cycle allocates %.1f times per run, want 0", allocs)
+	}
+}
+
+// TestClearanceWithinAllocs asserts the capped clearance walk allocates
+// nothing on a reused union once its edge and piece scratch is warm —
+// NNV runs it once per query on the per-client MVR.
+func TestClearanceWithinAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	_, rects := mvrLikeUnion(rng, 0)
+	var u RectUnion
+	cycle := func() {
+		u.Reset()
+		for _, r := range rects {
+			u.Add(r)
+		}
+		m := u.Rects()
+		_, _ = u.ClearanceWithin(m[0].Center(), 0.5)
+		_, _ = u.ClearanceWithin(m[1].Center(), math.Inf(1))
+		_, _ = u.ClearanceRect(m[2])
+	}
+	cycle() // warm the scratch to capacity
+	cycle()
+	if allocs := testing.AllocsPerRun(20, cycle); allocs != 0 {
+		t.Fatalf("warm ClearanceWithin cycle allocates %.1f times per run, want 0", allocs)
 	}
 }

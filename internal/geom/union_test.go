@@ -334,8 +334,9 @@ func TestUnverifiedAreaFullyCovered(t *testing.T) {
 	}
 }
 
+// TestSubtractIntervals drives Boundary's interval sweep
+// (appendGaps) directly: the uncovered leftovers of the edge [0, 10].
 func TestSubtractIntervals(t *testing.T) {
-	base := interval{0, 10}
 	cases := []struct {
 		cov  []interval
 		want []interval
@@ -348,7 +349,13 @@ func TestSubtractIntervals(t *testing.T) {
 		{[]interval{{3, 4}, {1, 2}}, []interval{{0, 1}, {2, 3}, {4, 10}}},
 	}
 	for i, c := range cases {
-		got := subtractIntervals(base, append([]interval(nil), c.cov...))
+		var got []interval
+		for _, s := range appendGaps(nil, append([]interval(nil), c.cov...), 0, 10, 3, true) {
+			if s.A.Y != 3 || s.B.Y != 3 {
+				t.Fatalf("case %d: piece %v off the edge level", i, s)
+			}
+			got = append(got, interval{s.A.X, s.B.X})
+		}
 		if len(got) != len(c.want) {
 			t.Errorf("case %d: got %v want %v", i, got, c.want)
 			continue

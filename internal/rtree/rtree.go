@@ -10,7 +10,6 @@
 package rtree
 
 import (
-	"container/heap"
 	"math"
 	"sort"
 
@@ -488,30 +487,59 @@ type nnEntry struct {
 	leafItem bool
 }
 
+// nnQueue is a binary min-heap on dist. push and pop take the same
+// sift-up/sift-down steps as container/heap, so entries with equal
+// distances pop in the same order, without boxing every entry through
+// an interface.
 type nnQueue []nnEntry
 
-func (q nnQueue) Len() int            { return len(q) }
-func (q nnQueue) Less(i, j int) bool  { return q[i].dist < q[j].dist }
-func (q nnQueue) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
-func (q *nnQueue) Push(x interface{}) { *q = append(*q, x.(nnEntry)) }
-func (q *nnQueue) Pop() interface{} {
-	old := *q
-	n := len(old)
-	x := old[n-1]
-	*q = old[:n-1]
-	return x
+func (q *nnQueue) push(e nnEntry) {
+	h := append(*q, e)
+	for j := len(h) - 1; j > 0; {
+		i := (j - 1) / 2 // parent
+		if !(h[j].dist < h[i].dist) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		j = i
+	}
+	*q = h
+}
+
+func (q *nnQueue) pop() nnEntry {
+	h := *q
+	n := len(h) - 1
+	h[0], h[n] = h[n], h[0]
+	for i := 0; ; {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if r := j + 1; r < n && h[r].dist < h[j].dist {
+			j = r
+		}
+		if !(h[j].dist < h[i].dist) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
+	e := h[n]
+	*q = h[:n]
+	return e
 }
 
 // KNN returns the k nearest items to q in ascending distance order using
-// best-first (incremental) search.
+// best-first (incremental) search. The queue is local to the call, so
+// concurrent readers may share the tree.
 func (t *Tree) KNN(q geom.Point, k int) []Item {
 	if k <= 0 || t.size == 0 {
 		return nil
 	}
-	pq := &nnQueue{{dist: t.root.bounds.Dist(q), node: t.root}}
+	pq := nnQueue{{dist: t.root.bounds.Dist(q), node: t.root}}
 	var out []Item
-	for pq.Len() > 0 && len(out) < k {
-		e := heap.Pop(pq).(nnEntry)
+	for len(pq) > 0 && len(out) < k {
+		e := pq.pop()
 		if e.leafItem {
 			out = append(out, e.item)
 			continue
@@ -519,12 +547,12 @@ func (t *Tree) KNN(q geom.Point, k int) []Item {
 		n := e.node
 		if n.leaf {
 			for _, it := range n.items {
-				heap.Push(pq, nnEntry{dist: it.Pos.Dist(q), item: it, leafItem: true})
+				pq.push(nnEntry{dist: it.Pos.Dist(q), item: it, leafItem: true})
 			}
 			continue
 		}
 		for _, c := range n.children {
-			heap.Push(pq, nnEntry{dist: c.bounds.Dist(q), node: c})
+			pq.push(nnEntry{dist: c.bounds.Dist(q), node: c})
 		}
 	}
 	return out

@@ -1,6 +1,7 @@
 package rtree
 
 import (
+	"container/heap"
 	"math/rand"
 	"sort"
 	"testing"
@@ -383,5 +384,46 @@ func TestMixedWorkloadModelCheck(t *testing.T) {
 		if got[i].Pos.Dist(q) != want[i].Pos.Dist(q) {
 			t.Fatal("final KNN mismatch after mixed workload")
 		}
+	}
+}
+
+// heapQueue adapts nnQueue to container/heap, the reference the typed
+// queue must match step for step.
+type heapQueue []nnEntry
+
+func (q heapQueue) Len() int            { return len(q) }
+func (q heapQueue) Less(i, j int) bool  { return q[i].dist < q[j].dist }
+func (q heapQueue) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
+func (q *heapQueue) Push(x interface{}) { *q = append(*q, x.(nnEntry)) }
+func (q *heapQueue) Pop() interface{} {
+	old := *q
+	x := old[len(old)-1]
+	*q = old[:len(old)-1]
+	return x
+}
+
+// TestNNQueueMatchesContainerHeap drives the typed queue and
+// container/heap through the same interleaved pushes and pops over
+// heavily tied distances: equal-distance entries must pop in the same
+// order, which keeps KNN's tie order unchanged.
+func TestNNQueueMatchesContainerHeap(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	var got nnQueue
+	var ref heapQueue
+	for step := 0; step < 20000; step++ {
+		if len(got) > 0 && rng.Intn(3) == 0 {
+			a, b := got.pop(), heap.Pop(&ref).(nnEntry)
+			if a.item.ID != b.item.ID || a.dist != b.dist {
+				t.Fatalf("step %d: typed queue popped (%d, %v), container/heap (%d, %v)",
+					step, a.item.ID, a.dist, b.item.ID, b.dist)
+			}
+			continue
+		}
+		e := nnEntry{dist: float64(rng.Intn(16)), item: Item{ID: int64(step)}, leafItem: true}
+		got.push(e)
+		heap.Push(&ref, e)
+	}
+	if len(got) != len(ref) {
+		t.Fatalf("queue lengths diverged: %d vs %d", len(got), len(ref))
 	}
 }
