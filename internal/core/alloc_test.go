@@ -64,3 +64,24 @@ func TestSBNNScratchSteadyAllocs(t *testing.T) {
 		t.Fatalf("warm verified SBNNScratch allocates %.1f times per run, want <= 2", allocs)
 	}
 }
+
+// TestNNVColdAllocGate gates the pooled cold-start path: once the
+// scratch pool is warm, a cold-entry NNV call must stay within the
+// copy-out allocations (heap clone, MVR clone) instead of the dozens a
+// fresh Scratch used to cost.
+func TestNNVColdAllocGate(t *testing.T) {
+	q, peers, _ := poolWorkload()
+	for i := 0; i < 4; i++ {
+		NNV(q, peers, 5, 0.5) // warm the pool
+	}
+	avg := testing.AllocsPerRun(200, func() {
+		NNV(q, peers, 5, 0.5)
+	})
+	t.Logf("nnv cold path: %.2f allocs/op", avg)
+	// Expected steady state is 4 (Heap struct + entries, RectUnion
+	// struct + rects); 8 leaves headroom for a GC emptying the pool
+	// mid-measurement without letting the old 52-alloc profile back in.
+	if avg > 8 {
+		t.Errorf("pooled NNV cold path costs %.1f allocs/op, want <= 8", avg)
+	}
+}

@@ -145,3 +145,54 @@ func BenchmarkCorrectnessProbability(b *testing.B) {
 		CorrectnessProbability(0.3, float64(i%10))
 	}
 }
+
+// warmCityPeers builds peer data shaped like one knn_warm_city query:
+// 56 POIs around q and 118 peer regions, about half nested inside an
+// earlier region, each carrying every POI it covers — 685 raw candidates
+// over 54 distinct ones, and an MVR of 118 members. One member holds the
+// k = 5 disk around q, so NNV's clearance takes the one-member shortcut.
+func warmCityPeers() (geom.Point, []PeerData) {
+	rng := rand.New(rand.NewSource(6))
+	db := make([]broadcast.POI, 56)
+	for i := range db {
+		db[i] = broadcast.POI{ID: int64(i), Pos: geom.Pt(0.7+rng.Float64()*2.6, 0.7+rng.Float64()*2.6)}
+	}
+	var vrs []geom.Rect
+	for len(vrs) < 118 {
+		if len(vrs) > 0 && rng.Intn(2) == 0 {
+			host := vrs[rng.Intn(len(vrs))]
+			x0 := host.Min.X + rng.Float64()*host.Width()/2
+			y0 := host.Min.Y + rng.Float64()*host.Height()/2
+			vrs = append(vrs, geom.NewRect(x0, y0,
+				x0+(0.5+rng.Float64()/2)*(host.Max.X-x0), y0+(0.5+rng.Float64()/2)*(host.Max.Y-y0)))
+			continue
+		}
+		cx, cy := 1+rng.Float64()*2, 1+rng.Float64()*2
+		w, h := 0.55+rng.Float64(), 0.55+rng.Float64()
+		vrs = append(vrs, geom.NewRect(cx-w/2, cy-h/2, cx+w/2, cy+h/2))
+	}
+	peers := make([]PeerData, len(vrs))
+	for i, vr := range vrs {
+		peers[i].VR = vr
+		for _, p := range db {
+			if vr.Contains(p.Pos) {
+				peers[i].POIs = append(peers[i].POIs, p)
+			}
+		}
+	}
+	return geom.Pt(2, 2), peers
+}
+
+// BenchmarkNNVWarmCityShape measures the warm NNV hot path at the shape
+// of a knn_warm_city query (k = 5): its cost should follow k and the MVR
+// near q, not the 660 raw candidates.
+func BenchmarkNNVWarmCityShape(b *testing.B) {
+	q, peers := warmCityPeers()
+	var s Scratch
+	NNVScratch(&s, q, peers, 5, 0.5)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		NNVScratch(&s, q, peers, 5, 0.5)
+	}
+}

@@ -3,7 +3,6 @@ package core
 import (
 	"math"
 	"math/rand"
-	"sort"
 	"testing"
 	"testing/quick"
 
@@ -41,7 +40,7 @@ func contTestDB(rng *rand.Rand, nPOIs, nPeers int) ([]broadcast.POI, []PeerData)
 // algorithms' (distance, ID) total order.
 func bruteKNN(db []broadcast.POI, q geom.Point, k int) map[int64]bool {
 	sorted := append([]broadcast.POI(nil), db...)
-	sort.Slice(sorted, func(i, j int) bool { return candBefore(sorted[i], sorted[j], q) })
+	sortCandidates(sorted, q)
 	if len(sorted) > k {
 		sorted = sorted[:k]
 	}

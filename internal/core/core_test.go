@@ -270,9 +270,6 @@ func TestNNVNoPeers(t *testing.T) {
 	if res.Heap.Len() != 0 || res.Heap.State() != StateEmpty {
 		t.Fatal("no peers must yield empty heap")
 	}
-	if res.Candidates != 0 {
-		t.Fatalf("candidates = %d", res.Candidates)
-	}
 }
 
 func TestNNVDeduplicatesPeers(t *testing.T) {
@@ -283,9 +280,6 @@ func TestNNVDeduplicatesPeers(t *testing.T) {
 		{VR: vr, POIs: []broadcast.POI{poi(1, 5, 6), poi(2, 5, 4)}},
 	}
 	res := NNV(geom.Pt(5, 5), peers, 5, 0.1)
-	if res.Candidates != 2 {
-		t.Fatalf("candidates = %d want 2", res.Candidates)
-	}
 	if res.Heap.Len() != 2 {
 		t.Fatalf("heap len = %d", res.Heap.Len())
 	}

@@ -302,6 +302,23 @@ func sortCandidates(pois []broadcast.POI, q geom.Point) {
 	})
 }
 
+// dedupSortedCandidates removes adjacent duplicate POI IDs in place and
+// returns the deduplicated prefix. Input must be sorted by
+// sortCandidates, which makes equal IDs adjacent (same POI ⇒ same
+// position ⇒ same distance).
+func dedupSortedCandidates(pois []broadcast.POI) []broadcast.POI {
+	if len(pois) < 2 {
+		return pois
+	}
+	out := pois[:1]
+	for _, p := range pois[1:] {
+		if p.ID != out[len(out)-1].ID {
+			out = append(out, p)
+		}
+	}
+	return out
+}
+
 // CorrectnessProbability implements Lemma 3.2: with POIs Poisson
 // distributed at density lambda (POIs per square unit), the probability
 // that no POI hides in an unverified region of the given area is

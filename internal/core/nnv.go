@@ -1,6 +1,9 @@
 package core
 
 import (
+	"math"
+	"slices"
+
 	"lbsq/internal/broadcast"
 	"lbsq/internal/geom"
 )
@@ -42,11 +45,12 @@ type PeerData struct {
 // Known/KnownRegion are always freshly allocated — callers cache them.
 // A Scratch must not be shared between goroutines.
 type Scratch struct {
-	mvr        geom.RectUnion
-	heap       Heap
-	candidates []broadcast.POI
-	tainted    []broadcast.POI
-	poiBuf     []broadcast.POI
+	mvr         geom.RectUnion
+	heap        Heap
+	nearest     []candidate // NNV's k nearest untainted candidates
+	nearTainted []candidate // NNV's distinct tainted candidates
+	candidates  []broadcast.POI
+	poiBuf      []broadcast.POI
 }
 
 // NNVResult bundles the outputs of the nearest-neighbor verification
@@ -67,8 +71,6 @@ type NNVResult struct {
 	// InsideMVR reports whether q lies inside the MVR (the precondition
 	// of Lemma 3.1).
 	InsideMVR bool
-	// Candidates is the number of distinct POIs received from peers.
-	Candidates int
 	// Merged is the number of peer verified regions merged into the MVR
 	// and Examined the number of candidates pushed through Lemma 3.1/3.2
 	// verification — the deterministic work units of the mvr_merge and
@@ -81,7 +83,7 @@ type NNVResult struct {
 	TaintedCandidates int
 }
 
-// NNV is Algorithm 1: merge the peers' verified regions, sort their
+// NNV is Algorithm 1: merge the peers' verified regions, rank their
 // cached POIs by distance to q, and verify each candidate o against
 // Lemma 3.1 (o is a guaranteed nearest neighbor when ‖q,o‖ ≤ ‖q,e_s‖ and
 // q lies inside the MVR). Unverified candidates are annotated with the
@@ -103,13 +105,6 @@ func NNV(q geom.Point, peers []PeerData, k int, lambda float64) NNVResult {
 // NNVScratch is NNV running on caller-owned scratch: the zero-allocation
 // hot-path variant used by the simulator's per-world query loop. The
 // returned Heap and MVR alias the scratch (see Scratch).
-//
-// Output is bit-identical to NNV: candidate deduplication is sort-based
-// (gather every peer POI, sort by (distance², ID), drop adjacent
-// duplicates), which yields exactly the distinct candidate set in exactly
-// the order the per-query map used to produce — duplicates of one POI ID
-// carry the same database position, hence the same distance, and are
-// therefore adjacent after the sort.
 func NNVScratch(s *Scratch, q geom.Point, peers []PeerData, k int, lambda float64) NNVResult {
 	return NNVScratchMVR(s, &s.mvr, false, q, peers, k, lambda)
 }
@@ -126,34 +121,32 @@ func NNVScratchMVR(s *Scratch, mvr *geom.RectUnion, prebuilt bool, q geom.Point,
 	if !prebuilt {
 		mvr.Reset()
 	}
-	cands := s.candidates[:0]
-	taints := s.tainted[:0]
+	// Only the first k distinct candidates of each pool can reach the
+	// heap, so the untainted pool keeps just those (k ≤ 0 never fills the
+	// heap and keeps every distinct candidate). The tainted pool is
+	// selected whole so its distinct count stays exact; it is empty on
+	// honest runs.
+	keep := k
+	if keep <= 0 {
+		keep = math.MaxInt
+	}
 	merged := 0
 	for _, p := range peers {
-		if p.Tainted {
-			// Untrusted: the VR must not strengthen Lemma 3.1, but the
-			// POIs may still compete as probabilistic candidates.
-			taints = append(taints, p.POIs...)
-			continue
+		// A tainted VR must not strengthen Lemma 3.1, but its POIs may
+		// still compete as probabilistic candidates.
+		if !p.Tainted {
+			if !prebuilt {
+				mvr.Add(p.VR)
+			}
+			merged++
 		}
-		if !prebuilt {
-			mvr.Add(p.VR)
-		}
-		merged++
-		cands = append(cands, p.POIs...)
 	}
-	sortCandidates(cands, q)
-	cands = dedupSortedCandidates(cands)
-	s.candidates = cands
-	sortCandidates(taints, q)
-	taints = dedupSortedCandidates(taints)
-	s.tainted = taints
-
-	s.heap.Reset(k)
+	s.nearest = selectNearest(s.nearest, peers, false, q, keep)
+	s.nearTainted = selectNearest(s.nearTainted, peers, true, q, math.MaxInt)
+	cands, taints := dropRepeatedIDs(s.nearest), dropRepeatedIDs(s.nearTainted)
 	res := NNVResult{
 		Heap:              &s.heap,
 		MVR:               mvr,
-		Candidates:        len(cands) + len(taints),
 		Merged:            merged,
 		TaintedCandidates: len(taints),
 	}
@@ -161,20 +154,21 @@ func NNVScratchMVR(s *Scratch, mvr *geom.RectUnion, prebuilt bool, q geom.Point,
 	// Pass 1: fill the heap by merge-walking the two sorted pools in
 	// global (distance², ID) order. With no tainted peers this reduces
 	// exactly to a walk of cands — the seed loop, bit for bit.
+	s.heap.Reset(k)
 	i, j := 0, 0
 	for (i < len(cands) || j < len(taints)) && !res.Heap.Full() {
 		pickTainted := i >= len(cands) ||
-			(j < len(taints) && candBefore(taints[j], cands[i], q))
-		var poi broadcast.POI
+			(j < len(taints) && taints[j].before(&cands[i]))
+		var c candidate
 		if pickTainted {
-			poi = taints[j]
+			c = taints[j]
 			j++
 		} else {
-			poi = cands[i]
+			c = cands[i]
 			i++
 		}
 		res.Examined++
-		res.Heap.add(Entry{POI: poi, Dist: poi.Pos.Dist(q), Tainted: pickTainted})
+		res.Heap.add(Entry{POI: c.poi, Dist: c.poi.Pos.Dist(q), Tainted: pickTainted})
 	}
 
 	// Pass 2: one clearance, capped at the farthest entry. Every entry
@@ -208,30 +202,84 @@ func NNVScratchMVR(s *Scratch, mvr *geom.RectUnion, prebuilt bool, q geom.Point,
 	return res
 }
 
-// candBefore reports whether a precedes b in the candidate order
-// (ascending distance² to q, POI ID as the deterministic tiebreak) —
-// the same total order sortCandidates establishes within each pool.
-func candBefore(a, b broadcast.POI, q geom.Point) bool {
-	da, db := a.Pos.DistSq(q), b.Pos.DistSq(q)
-	if da != db {
-		return da < db
-	}
-	return a.ID < b.ID
+// candidate is a peer POI keyed by its squared distance to the query
+// point; NNV ranks candidates by (d2, ID).
+type candidate struct {
+	d2  float64
+	poi broadcast.POI
 }
 
-// dedupSortedCandidates removes adjacent duplicate POI IDs in place and
-// returns the deduplicated prefix. Input must be sorted by
-// sortCandidates, which makes equal IDs adjacent (same POI ⇒ same
-// position ⇒ same distance).
-func dedupSortedCandidates(pois []broadcast.POI) []broadcast.POI {
-	if len(pois) < 2 {
-		return pois
-	}
-	out := pois[:1]
-	for _, p := range pois[1:] {
-		if p.ID != out[len(out)-1].ID {
-			out = append(out, p)
+// before reports whether a precedes b: ascending distance² to q with
+// the POI ID as the tiebreak — the order sortCandidates establishes.
+func (a *candidate) before(b *candidate) bool {
+	return a.d2 < b.d2 || (a.d2 == b.d2 && a.poi.ID < b.poi.ID)
+}
+
+// selectNearest refills best's storage from the POIs of the peers whose
+// Tainted flag equals tainted. best is a sorted run of distinct
+// (distance², ID) keys in which an entry counts as kept when its ID
+// differs from its predecessor's; dropRepeatedIDs then leaves exactly
+// the kept entries, which are the first limit entries of
+// sortCandidates + dedupSortedCandidates over the pool — without sorting
+// the pool:
+//
+//   - A duplicate of a held POI meets its equal key and is dropped there
+//     (same POI ⇒ same position ⇒ same key).
+//   - An ID can still arrive at two positions (a moved POI in a stale
+//     region, a byzantine shift). The sort keeps the farther copy only
+//     when another ID lies between the two, so best keeps both copies
+//     and the final neighbours decide.
+//   - Inserting a key never lowers the number of kept entries before
+//     any point, so best is cut right after its limit-th kept entry.
+//     Once it holds limit kept entries, a candidate that does not
+//     precede its last entry is rejected with one comparison.
+func selectNearest(best []candidate, peers []PeerData, tainted bool, q geom.Point, limit int) []candidate {
+	best = best[:0]
+	full := false
+	for _, pd := range peers {
+		if pd.Tainted != tainted {
+			continue
+		}
+		for _, p := range pd.POIs {
+			c := candidate{p.Pos.DistSq(q), p}
+			if full && !c.before(&best[len(best)-1]) {
+				continue
+			}
+			i := len(best)
+			for i > 0 && c.before(&best[i-1]) {
+				i--
+			}
+			if i > 0 && !best[i-1].before(&c) {
+				continue // equal key: a duplicate
+			}
+			best = slices.Insert(best, i, c)
+			if n := keptPrefix(best, limit); n > 0 {
+				best, full = best[:n], true
+			}
 		}
 	}
-	return out
+	return best
+}
+
+// keptPrefix returns the length of the shortest prefix of best holding
+// limit kept entries (see selectNearest), or 0 when best holds fewer.
+func keptPrefix(best []candidate, limit int) int {
+	if len(best) < limit {
+		return 0
+	}
+	kept := 0
+	for i := range best {
+		if i == 0 || best[i].poi.ID != best[i-1].poi.ID {
+			if kept++; kept == limit {
+				return i + 1
+			}
+		}
+	}
+	return 0
+}
+
+// dropRepeatedIDs removes, in place, every entry whose ID equals its
+// predecessor's — the dedupSortedCandidates rule.
+func dropRepeatedIDs(best []candidate) []candidate {
+	return slices.CompactFunc(best, func(a, b candidate) bool { return a.poi.ID == b.poi.ID })
 }

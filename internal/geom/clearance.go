@@ -38,11 +38,29 @@ func (u *RectUnion) Clearance(p Point) (float64, bool) {
 // of p have their boundary pieces built (see clearanceWalk), so a caller
 // that compares the clearance only against distances up to some bound
 // pays for the union's boundary near p, not for all of it.
+//
+// A finite limit first tries one member: if some member r has
+// r.InnerGap({p,p}) ≥ limit + ε (ε as in clearanceWalk), the disk of
+// radius limit + ε around p lies inside r ⊆ U, so every boundary piece
+// is at least that far from p. Segment.Dist and InnerGap err by a few
+// ulps of the coordinates, far below ε, so no piece's computed distance
+// undercuts limit and the walk would return exactly limit; it is
+// skipped. The check reads only the members and writes no union
+// scratch.
 func (u *RectUnion) ClearanceWithin(p Point, limit float64) (float64, bool) {
+	eps := u.clearanceEps()
+	if !math.IsInf(limit, 1) {
+		pt := Rect{p, p}
+		for _, r := range u.rects {
+			if r.InnerGap(pt) >= limit+eps {
+				return limit, true
+			}
+		}
+	}
 	if !u.Contains(p) {
 		return 0, false
 	}
-	return u.clearanceWalk(Rect{p, p}, true, limit), true
+	return u.clearanceWalk(Rect{p, p}, true, limit, eps), true
 }
 
 // ClearanceRect returns the minimum distance from the rectangle w to the
@@ -59,7 +77,7 @@ func (u *RectUnion) ClearanceRect(w Rect) (float64, bool) {
 	if !u.CoversRect(w) {
 		return 0, false
 	}
-	return u.clearanceWalk(w, false, math.Inf(1)), true
+	return u.clearanceWalk(w, false, math.Inf(1), u.clearanceEps()), true
 }
 
 // clearanceEdge is one member edge queued by clearanceWalk.
@@ -71,6 +89,20 @@ type clearanceEdge struct {
 
 // clearanceSlack scales the walk's cut-off slack ε (see clearanceWalk).
 const clearanceSlack = 1e-9
+
+// clearanceEps returns the walk's slack ε = clearanceSlack·(1 + the
+// largest coordinate magnitude of the union).
+func (u *RectUnion) clearanceEps() float64 {
+	scale := 0.0
+	for _, r := range u.rects {
+		for _, v := range [4]float64{r.Min.X, r.Min.Y, r.Max.X, r.Max.Y} {
+			if v = math.Abs(v); v > scale {
+				scale = v
+			}
+		}
+	}
+	return clearanceSlack * (1 + scale)
+}
 
 // clearanceWalk returns min(limit, d) where d is the minimum over the
 // union's boundary pieces of s.Dist(w.Min) (point=true, w degenerate) or
@@ -93,13 +125,7 @@ const clearanceSlack = 1e-9
 //
 // The walk neither builds nor reads the boundary cache or its strip
 // index, and its scratch (u.edges, u.pieces) is reused across calls.
-func (u *RectUnion) clearanceWalk(w Rect, point bool, limit float64) float64 {
-	scale := 0.0
-	for _, r := range u.rects {
-		scale = max(scale, math.Abs(r.Min.X), math.Abs(r.Min.Y), math.Abs(r.Max.X), math.Abs(r.Max.Y))
-	}
-	eps := clearanceSlack * (1 + scale)
-
+func (u *RectUnion) clearanceWalk(w Rect, point bool, limit, eps float64) float64 {
 	h := u.edges[:0]
 	for i, r := range u.rects {
 		for side := sideBottom; side <= sideRight; side++ {

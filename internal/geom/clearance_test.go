@@ -269,3 +269,67 @@ func TestClearanceWalkMatchesFullBoundary(t *testing.T) {
 		}
 	}
 }
+
+// TestClearanceWithinShortcut is the differential contract of the
+// one-member shortcut: at limits on and one ε either side of the largest
+// inner gap any member leaves around p, and at the empty-heap limit 0,
+// ClearanceWithin returns the same float64 as min(limit, the minimum
+// Segment.Dist over Boundary()) whether or not the shortcut fires.
+func TestClearanceWithinShortcut(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	shortcuts, walks := 0, 0
+	for trial := 0; trial < 60; trial++ {
+		offset := 0.0
+		if trial%3 == 2 {
+			offset = 3e5
+		}
+		u, rects := mvrLikeUnion(rng, offset)
+		members := u.Rects()
+		eps := u.clearanceEps()
+		for i := 0; i < 24; i++ {
+			m := members[rng.Intn(len(members))]
+			p := Pt(m.Min.X+rng.Float64()*m.Width(), m.Min.Y+rng.Float64()*m.Height())
+			switch i % 4 {
+			case 1:
+				p = m.Center()
+			case 2:
+				p.X = m.Max.X // on a member side
+			case 3:
+				p = rects[rng.Intn(len(rects))].Center() // possibly outside
+			}
+			gap := math.Inf(-1)
+			for _, r := range members {
+				gap = max(gap, r.InnerGap(Rect{p, p}))
+			}
+			ref := math.Inf(1)
+			for _, s := range u.Boundary() {
+				ref = min(ref, s.Dist(p))
+			}
+			inside := u.Contains(p)
+			for _, limit := range []float64{0, gap - eps, math.Nextafter(gap-eps, 0),
+				math.Nextafter(gap-eps, math.Inf(1)), gap, gap + eps} {
+				if limit < 0 {
+					continue
+				}
+				if gap >= limit+eps {
+					shortcuts++
+				} else {
+					walks++
+				}
+				got, ok := u.ClearanceWithin(p, limit)
+				want := 0.0
+				if inside {
+					want = min(limit, ref)
+				}
+				if ok != inside || math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("trial %d: ClearanceWithin(%v, %v) = (%v, %v), want (%v, %v); gap %v, eps %v",
+						trial, p, limit, got, ok, want, inside, gap, eps)
+				}
+			}
+		}
+	}
+	if shortcuts == 0 || walks == 0 {
+		t.Fatalf("probes took the shortcut %d times and the walk %d times; both must be exercised", shortcuts, walks)
+	}
+	t.Logf("%d shortcut probes, %d walk probes", shortcuts, walks)
+}

@@ -42,9 +42,10 @@ func TestRectUnionReuseAllocs(t *testing.T) {
 	}
 }
 
-// TestClearanceWithinAllocs asserts the capped clearance walk allocates
-// nothing on a reused union once its edge and piece scratch is warm —
-// NNV runs it once per query on the per-client MVR.
+// TestClearanceWithinAllocs asserts the capped clearance walk and its
+// one-member shortcut allocate nothing on a reused union once its edge
+// and piece scratch is warm — NNV runs it once per query on the
+// per-client MVR.
 func TestClearanceWithinAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	_, rects := mvrLikeUnion(rng, 0)
@@ -56,6 +57,7 @@ func TestClearanceWithinAllocs(t *testing.T) {
 		}
 		m := u.Rects()
 		_, _ = u.ClearanceWithin(m[0].Center(), 0.5)
+		_, _ = u.ClearanceWithin(m[0].Center(), 0) // the shortcut
 		_, _ = u.ClearanceWithin(m[1].Center(), math.Inf(1))
 		_, _ = u.ClearanceRect(m[2])
 	}
